@@ -68,6 +68,19 @@ struct Outcome
     std::string json() const;
 };
 
+/**
+ * Whether repetition @p rep of a run's @p reps identical repetitions
+ * starts: the first always does, a later one only while less than
+ * @p seconds have passed since @p t0.  On a slow host a run makes
+ * fewer repetitions instead of running past its time.
+ */
+inline bool
+startRepetition(std::size_t rep, std::size_t reps, Clock::time_point t0,
+                double seconds)
+{
+    return rep < reps && (rep == 0 || secondsSince(t0) < seconds);
+}
+
 /** Quantile @p q (0..1) of @p v by linear interpolation; 0 if empty. */
 double quantile(std::vector<double> v, double q);
 

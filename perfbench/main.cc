@@ -48,12 +48,27 @@ runWorkload(const Options &opt, Spans &spans, Outcome &out)
 }
 
 double
-throughputOf(const Outcome &o)
+metricOf(const Outcome &o, const std::string &metric)
 {
     for (const auto &[name, v] : o.metrics)
-        if (name == "throughput")
+        if (name == metric)
             return v.first;
     return 0.0;
+}
+
+/**
+ * The workload's tail latency, taken out of its end-to-end metrics.
+ * It is reported by the traced run, as a per-layer metric: across
+ * seeds it moves with which long operations the seed draws (README:
+ * end-to-end metrics), more than an end-to-end bound allows.
+ */
+double
+takeTail(Outcome &o)
+{
+    const double tail = metricOf(o, "tail_us");
+    std::erase_if(o.metrics,
+                  [](const auto &m) { return m.first == "tail_us"; });
+    return tail;
 }
 
 } // namespace
@@ -111,6 +126,8 @@ main(int argc, char **argv)
     if (!opt.trace) {
         Spans off;
         runWorkload(opt, off, out);
+        std::fprintf(stderr, "%s: tail_us %.3f (per-layer)\n",
+                     opt.workload.c_str(), takeTail(out));
     } else {
         // The traced run: the workload once untraced and once with
         // spans (their throughput ratio is the tracing overhead), then
@@ -131,15 +148,17 @@ main(int argc, char **argv)
                      spans.size(), path.c_str());
         for (const auto &[name, ms] : spans.selfMs())
             std::fprintf(stderr, "  %-36s %12.3f\n", name.c_str(), ms);
-        const double traced = throughputOf(out);
+        const double traced = metricOf(out, "throughput");
         out.metrics.clear();
         out.correct &= plain.correct;
         out.errors.insert(out.errors.end(), plain.errors.begin(),
                           plain.errors.end());
         out.metric("trace.overhead_pct",
-                   traced > 0.0 ? (throughputOf(plain) / traced - 1.0) * 100.0
-                                : 0.0,
+                   traced > 0.0
+                       ? (metricOf(plain, "throughput") / traced - 1.0) * 100.0
+                       : 0.0,
                    "%");
+        out.metric("tail_us", takeTail(plain), "us");
         runLayerProbes(opt, out);
     }
     for (const std::string &e : out.errors)

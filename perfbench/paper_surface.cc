@@ -36,13 +36,14 @@ constexpr double kSampledTolerance = 0.02;
 /**
  * A pass is the sampled points plus the first kGridPoints points of the
  * shuffled grid; a run makes kPassesPerSecond x --seconds identical
- * passes, about --seconds on the reference host (README).  Every run,
- * on any seed, simulates the same points.
+ * passes, under --seconds on the reference host (README).  Every run,
+ * on any seed, simulates the same points.  A short pass gives each
+ * point more repetitions to take its least time over.
  */
-constexpr std::size_t kGridPoints = 120;
-constexpr double kPassesPerSecond = 0.3;
-/** 90th percentile: about 12 of the 120 points lie beyond it. */
-constexpr double kTailQuantile = 0.9;
+constexpr std::size_t kGridPoints = 72;
+constexpr double kPassesPerSecond = 0.32;
+/** 85th percentile: about 11 of the 72 points lie beyond it. */
+constexpr double kTailQuantile = 0.85;
 
 unsigned
 threadsOf(const BenchmarkProfile &p)
@@ -217,11 +218,14 @@ runPaperSurface(const Options &opt, Spans &spans, Outcome &out)
     // Identical passes, each on cold models: the sampled
     // points, then the detailed sweep (a point's time includes its
     // PerfModel's construction for the first point of a pass).
-    std::vector<std::vector<double>> sampledUs(passes), pointUs(passes);
+    std::vector<std::vector<double>> sampledUs, pointUs;
     std::vector<double> sampledIpc;
     std::vector<std::pair<exec::SweepPoint, double>> swept;
     const Clock::time_point t0 = Clock::now();
-    for (std::size_t pass = 0; pass < passes; ++pass) {
+    for (std::size_t pass = 0; startRepetition(pass, passes, t0, opt.seconds);
+         ++pass) {
+        sampledUs.emplace_back();
+        pointUs.emplace_back();
         std::int64_t a = nowNs();
         PerfModel spm(kSampledInstructions, opt.seed);
         spm.setSampleMode(SampleMode::Sampled);
@@ -246,7 +250,7 @@ runPaperSurface(const Options &opt, Spans &spans, Outcome &out)
         }
     }
     const double seconds = secondsSince(t0);
-    out.attempted = passes * (sPoints.size() + grid.size());
+    out.attempted = pointUs.size() * (sPoints.size() + grid.size());
 
     // Checks (untimed).
     SurfaceData d;
@@ -263,9 +267,10 @@ runPaperSurface(const Options &opt, Spans &spans, Outcome &out)
     const std::vector<double> leastPoint = leastOf(pointUs);
     std::fprintf(stderr,
                  "paper_surface: %zu passes of %zu sampled + %zu grid points "
-                 "in %.2f s; least pass time %.2f s\n",
-                 passes, sPoints.size(), grid.size(), seconds,
-                 (total(leastSampled) + total(leastPoint)) * 1e-6);
+                 "in %.2f s; least pass time %.2f s (sampled %.2f s)\n",
+                 pointUs.size(), sPoints.size(), grid.size(), seconds,
+                 (total(leastSampled) + total(leastPoint)) * 1e-6,
+                 total(leastSampled) * 1e-6);
     out.metric("setup_s", setup, "s");
     out.metric("throughput",
                instructions /
