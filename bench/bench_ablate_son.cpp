@@ -9,6 +9,7 @@
  * with one and with two operand networks and reports the deltas.
  */
 
+#include <memory>
 #include <vector>
 
 #include "common/math_util.hh"
@@ -35,8 +36,9 @@ runWith(const BenchmarkProfile &profile, unsigned operand_networks,
         profile.multithreaded ? profile.numThreads : 1;
     VmSim vm(cfg, vcores);
     vm.prewarm(profile);
-    TraceGenerator gen(profile, seed);
-    const VmResult res = vm.run(gen.generateThreads(instructions));
+    const VmResult res = vm.run(streamSources(
+        std::make_shared<const TraceGenerator>(profile, seed),
+        instructions));
     return res.throughput();
 }
 

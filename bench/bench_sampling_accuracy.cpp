@@ -61,10 +61,9 @@ class SamplingAccuracyStudy final : public study::Study
     run(study::ReportContext &ctx) override
     {
         // The sampled twin of ctx.pm: same surface identity
-        // (instructions, seed, trace mode), only the estimator
-        // differs.  Batched so accuracy runs saturate the pool too.
+        // (instructions, seed), only the estimator differs.  Batched
+        // so accuracy runs saturate the pool too.
         PerfModel sampled(ctx.instructions, ctx.seed);
-        sampled.setTraceMode(ctx.pm.traceMode());
         sampled.setSampleMode(SampleMode::Sampled,
                               kDefaultSampleSchedule);
         const std::vector<exec::SweepPoint> points = grid();

@@ -179,27 +179,6 @@ class SimSpeedStudy final : public study::Study
             }
         }
 
-        // The materialized replay path (--trace-mode materialize):
-        // a pre-generated Trace vector is re-simulated each
-        // iteration, the pre-streaming behavior.  The gap between
-        // this and end_to_end is the cost of bundle copies and
-        // vector traffic that fusion removes.
-        {
-            TraceGenerator gen(p, 1);
-            const Trace trace = gen.generate(20000);
-            for (unsigned slices : {1u, 4u, 8u}) {
-                addRateRow(t, "end_to_end_replay", slices, measure([&] {
-                    SimConfig cfg;
-                    cfg.numSlices = slices;
-                    cfg.numL2Banks = 4;
-                    VmSim vm(cfg, 1);
-                    VmResult res = vm.run({trace});
-                    g_sink = g_sink + res.cycles;
-                    return std::uint64_t(20000);
-                }));
-            }
-        }
-
         // The functional fast-forward alone: architectural warm
         // state (cache tags, predictor, mem-dep history) advances,
         // no timing.  This is the floor for sampled throughput --

@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "area/area_model.hh"
@@ -35,8 +36,10 @@ runPhase(const BenchmarkProfile &phase, const VCoreShape &shape,
     cfg.numL2Banks = shape.banks;
     VmSim vm(cfg, 1);
     vm.prewarm(phase);
-    TraceGenerator gen(phase, 1);
-    return vm.run(gen.generateThreads(instructions)).cycles;
+    return vm.run(streamSources(
+                      std::make_shared<const TraceGenerator>(phase, 1),
+                      instructions))
+        .cycles;
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 #include "core/perf_model.hh"
 
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <iterator>
@@ -12,6 +13,7 @@
 #include "common/logging.hh"
 #include "config/sim_config.hh"
 #include "exec/thread_pool.hh"
+#include "trace/inst_source.hh"
 
 namespace sharch {
 
@@ -38,26 +40,9 @@ PerfModel::PerfModel(std::size_t instructions_per_thread,
 }
 
 void
-PerfModel::evictTracesLocked()
-{
-    // Streaming mode materializes no bundles, so there is nothing to
-    // evict -- the trace cache is a policy of the materialized path.
-    if (traceMode_ == TraceMode::Stream)
-        return;
-    while (traces_.size() > traceCapacity_) {
-        auto victim = traces_.begin();
-        for (auto it = std::next(victim); it != traces_.end(); ++it) {
-            if (it->second.lastUse < victim->second.lastUse)
-                victim = it;
-        }
-        traces_.erase(victim);
-    }
-}
-
-void
 PerfModel::evictGeneratorsLocked()
 {
-    while (generators_.size() > traceCapacity_) {
+    while (generators_.size() > kGeneratorCacheCapacity) {
         auto victim = generators_.begin();
         for (auto it = std::next(victim); it != generators_.end();
              ++it) {
@@ -68,79 +53,28 @@ PerfModel::evictGeneratorsLocked()
     }
 }
 
-TraceBundlePtr
-PerfModel::tracesFor(const BenchmarkProfile &p)
-{
-    {
-        std::lock_guard<std::mutex> lock(traceMutex_);
-        auto it = traces_.find(p.name);
-        if (it != traces_.end()) {
-            it->second.lastUse = ++traceUseTick_;
-            return it->second.traces;
-        }
-    }
-    // Generate outside the lock: traces are deterministic in
-    // (profile, seed, thread), so a racing duplicate is identical and
-    // the loser's copy is simply discarded.  The bundle is immutable
-    // and reference-counted: callers mid-simulation keep theirs alive
-    // even if the LRU bound evicts it from the cache meanwhile.
-    TraceGenerator gen(p, seed_);
-    auto bundle = std::make_shared<const TraceBundle>(
-        gen.generateThreads(instructions_));
-    std::lock_guard<std::mutex> lock(traceMutex_);
-    auto [it, inserted] = traces_.try_emplace(p.name);
-    if (inserted)
-        it->second.traces = std::move(bundle);
-    it->second.lastUse = ++traceUseTick_;
-    TraceBundlePtr result = it->second.traces;
-    evictTracesLocked();
-    return result;
-}
-
 std::shared_ptr<const TraceGenerator>
 PerfModel::generatorFor(const BenchmarkProfile &p)
 {
     {
-        std::lock_guard<std::mutex> lock(traceMutex_);
+        std::lock_guard<std::mutex> lock(genMutex_);
         auto it = generators_.find(p.name);
         if (it != generators_.end()) {
-            it->second.lastUse = ++traceUseTick_;
+            it->second.lastUse = ++genUseTick_;
             return it->second.generator;
         }
     }
     // Build outside the lock; a racing duplicate is identical (the
     // skeleton is deterministic in (profile, seed)) and discarded.
     auto gen = std::make_shared<const TraceGenerator>(p, seed_);
-    std::lock_guard<std::mutex> lock(traceMutex_);
+    std::lock_guard<std::mutex> lock(genMutex_);
     auto [it, inserted] = generators_.try_emplace(p.name);
     if (inserted)
         it->second.generator = std::move(gen);
-    it->second.lastUse = ++traceUseTick_;
+    it->second.lastUse = ++genUseTick_;
     std::shared_ptr<const TraceGenerator> result = it->second.generator;
     evictGeneratorsLocked();
     return result;
-}
-
-void
-PerfModel::setTraceCacheCapacity(std::size_t benchmarks)
-{
-    SHARCH_ASSERT(benchmarks > 0, "trace cache needs >= 1 slot");
-    std::lock_guard<std::mutex> lock(traceMutex_);
-    traceCapacity_ = benchmarks;
-    evictGeneratorsLocked();
-    if (traceMode_ == TraceMode::Stream) {
-        SHARCH_DEBUG("trace-bundle cache bound is a no-op in streaming "
-                     "mode: no bundles are materialized");
-        return;
-    }
-    evictTracesLocked();
-}
-
-std::size_t
-PerfModel::traceCacheSize() const
-{
-    std::lock_guard<std::mutex> lock(traceMutex_);
-    return traces_.size();
 }
 
 VmResult
@@ -158,13 +92,10 @@ PerfModel::detailedRun(const BenchmarkProfile &profile, unsigned banks,
         profile.multithreaded ? profile.numThreads : 1;
     VmSim vm(cfg, vcores);
     vm.prewarm(profile);
-    // Pin the bundle for the whole run; the cache may evict it.
-    // Streamed and materialized sources emit identical bytes, so both
-    // feed either the full detailed walk or the sampling controller.
+    // The sources share the cached generator, so an LRU eviction
+    // mid-run cannot pull it out from under them.
     const auto sources =
-        traceMode_ == TraceMode::Stream
-            ? streamSources(generatorFor(profile), instructions_)
-            : materializedSources(tracesFor(profile));
+        streamSources(generatorFor(profile), instructions_);
     if (sampleMode_ == SampleMode::Sampled) {
         SamplingController controller(sampleSchedule_, cfg.seed);
         return controller.run(vm, sources);
@@ -230,10 +161,8 @@ PerfModel::performanceBatch(
     if (!missing.empty()) {
         const exec::SweepRunner runner(threads);
 
-        // Warm the per-workload shared state first, so sweep workers
-        // never race to build the same thing: trace bundles when
-        // materializing, just the (much cheaper) generator skeletons
-        // when streaming.
+        // Warm the per-workload generator skeletons first, so sweep
+        // workers never race to build the same one.
         {
             std::map<std::string, const BenchmarkProfile *> profiles;
             for (std::size_t i : missing)
@@ -242,12 +171,7 @@ PerfModel::performanceBatch(
             exec::ThreadPool pool(runner.threads());
             for (const auto &[name, profile] : profiles) {
                 (void)name;
-                pool.submit([this, profile] {
-                    if (traceMode_ == TraceMode::Stream)
-                        generatorFor(*profile);
-                    else
-                        tracesFor(*profile);
-                });
+                pool.submit([this, profile] { generatorFor(*profile); });
             }
             pool.wait();
         }
@@ -300,10 +224,22 @@ PerfModel::performanceBatch(
     return results;
 }
 
+const std::string &
+PerfModel::diskCacheStamp()
+{
+    static const std::string stamp = [] {
+        PerfModel canary(2000, 1);
+        char ipc[32];
+        std::snprintf(ipc, sizeof ipc, "%.17g",
+                      canary.simulatePoint(profileFor("gcc"), 8, 2));
+        return std::string("# sharch-perf-cache model=") + ipc;
+    }();
+    return stamp;
+}
+
 void
 PerfModel::enableDiskCache(const std::string &path)
 {
-    std::lock_guard<std::mutex> lock(memoMutex_);
     if (sampleMode_ == SampleMode::Sampled) {
         // Cache rows are exact full-run results; a sampled model must
         // neither serve them (they would hide the estimator) nor add
@@ -312,14 +248,27 @@ PerfModel::enableDiskCache(const std::string &path)
                       " holds exact full-run results only)");
         return;
     }
+    const std::string &stamp = diskCacheStamp();
+    std::lock_guard<std::mutex> lock(memoMutex_);
     cachePath_ = path;
     std::ifstream in(path);
-    if (!in)
-        return;
     std::string line;
+    if (!in || !std::getline(in, line) || line != stamp) {
+        // Missing, empty, unstamped or stamped by another timing
+        // model: none of its rows can be trusted.
+        if (in) {
+            SHARCH_WARN("ignoring cache ", path,
+                        ": it was not written by this timing model; "
+                        "starting it afresh");
+        }
+        in.close();
+        std::ofstream out(path, std::ios::trunc);
+        out << stamp << '\n';
+        return;
+    }
     std::size_t loaded = 0;
     std::size_t skipped = 0;
-    std::size_t line_no = 0;
+    std::size_t line_no = 1;
     std::size_t first_bad_line = 0;
     while (std::getline(in, line)) {
         ++line_no;

@@ -8,8 +8,8 @@
  * configuration grid (memoized -- exhaustive sweeps revisit points)
  * and exposes performance in committed instructions per cycle.
  *
- * PerfModel is concurrency-safe end-to-end: the memo and trace cache
- * are mutex-guarded, disk-cache appends are serialized, and
+ * PerfModel is concurrency-safe end-to-end: the memo and generator
+ * cache are mutex-guarded, disk-cache appends are serialized, and
  * performanceBatch() fans whole grids across an exec::SweepRunner
  * worker pool.  Every simulation derives its seed from the point's
  * identity via exec::deriveJobSeed(), so a batch run with N threads
@@ -36,7 +36,6 @@
 #include "core/vm_sim.hh"
 #include "exec/sweep.hh"
 #include "trace/generator.hh"
-#include "trace/inst_source.hh"
 #include "trace/profile.hh"
 
 namespace sharch {
@@ -95,19 +94,6 @@ class PerfModel
     std::uint64_t seed() const { return seed_; }
 
     /**
-     * How simulations obtain their instruction streams.  The default,
-     * TraceMode::Stream, fuses generation into the sim loop: no trace
-     * bundle is ever materialized and resident trace storage is
-     * O(StreamingTraceSource::kBufferInsts) per running simulation.
-     * TraceMode::Materialize restores the bundle cache for multi-pass
-     * consumers.  Both modes produce bit-identical results (same
-     * instruction bytes, same SimStats); set before running -- the
-     * mode is not meant to change mid-batch.
-     */
-    void setTraceMode(TraceMode mode) { traceMode_ = mode; }
-    TraceMode traceMode() const { return traceMode_; }
-
-    /**
      * How simulations obtain their SimStats.  The default,
      * SampleMode::Full, detailed-times every instruction and is
      * byte-identical to the historical output.  SampleMode::Sampled
@@ -134,29 +120,22 @@ class PerfModel
      * Persist performance results to @p path (CSV) and preload any
      * existing entries whose (instructions, seed) match.  Lets several
      * benchmark harnesses share one simulated surface.
+     *
+     * The file's first line is diskCacheStamp().  A file whose first
+     * line is anything else was written by another timing model (or
+     * predates the stamp): it is ignored with one warning and started
+     * afresh, so a stale surface is never served.
      */
     void enableDiskCache(const std::string &path);
 
     /**
-     * Bound the generated-trace cache to @p benchmarks distinct
-     * workloads (>= 1); least-recently-used bundles are dropped.
-     * Simulations already holding a bundle keep it alive; an evicted
-     * benchmark regenerates bit-identically on next use.
-     *
-     * The bundle cache is a policy of the materialized path only: in
-     * streaming mode no bundles exist, so this records the bound (for
-     * a later switch to TraceMode::Materialize) and otherwise no-ops.
-     * The bound also limits the streaming path's generator cache,
-     * which holds O(codeBytes) skeletons, not traces.
+     * The disk cache's first line: a format tag plus a fingerprint of
+     * the timing model, the %.17g IPC of one fixed canary point
+     * (gcc, 8 banks, 2 Slices, 2000 instructions, seed 1) simulated
+     * fresh once per process.  Any model change that moves that
+     * point's IPC retires every cache file written before it.
      */
-    void setTraceCacheCapacity(std::size_t benchmarks);
-
-    /** Distinct benchmarks currently held by the trace cache
-     *  (always 0 in streaming mode: no bundles are materialized). */
-    std::size_t traceCacheSize() const;
-
-    /** Default trace-cache bound (distinct benchmarks). */
-    static constexpr std::size_t kDefaultTraceCacheCapacity = 8;
+    static const std::string &diskCacheStamp();
 
   private:
     /**
@@ -190,13 +169,6 @@ class PerfModel
         }
     };
 
-    /** One cached trace bundle plus its LRU recency stamp. */
-    struct TraceCacheEntry
-    {
-        TraceBundlePtr traces;
-        std::uint64_t lastUse = 0;
-    };
-
     /** One cached generator (skeleton only) plus its recency stamp. */
     struct GenCacheEntry
     {
@@ -204,20 +176,21 @@ class PerfModel
         std::uint64_t lastUse = 0;
     };
 
+    /** Generator-cache bound (distinct benchmarks): skeletons are
+     *  O(codeBytes), so a whole study's worth fits. */
+    static constexpr std::size_t kGeneratorCacheCapacity = 8;
+
     std::size_t instructions_;
     std::uint64_t seed_;
-    TraceMode traceMode_ = TraceMode::Stream;
     SampleMode sampleMode_ = SampleMode::Full;
     SampleSchedule sampleSchedule_ = kDefaultSampleSchedule;
     std::unordered_map<MemoKey, double, MemoKeyHash> memo_;
-    std::unordered_map<std::string, TraceCacheEntry> traces_;
     std::unordered_map<std::string, GenCacheEntry> generators_;
-    std::size_t traceCapacity_ = kDefaultTraceCacheCapacity;
-    std::uint64_t traceUseTick_ = 0;
+    std::uint64_t genUseTick_ = 0;
     std::string cachePath_;
 
     mutable std::mutex memoMutex_;  //!< guards memo_ and CSV appends
-    mutable std::mutex traceMutex_; //!< guards traces_ and the LRU
+    mutable std::mutex genMutex_;   //!< guards generators_ and the LRU
 
     /** Simulate one point (no memo side effects; thread-safe). */
     double simulatePoint(const BenchmarkProfile &profile,
@@ -228,18 +201,12 @@ class PerfModel
                        unsigned banks, unsigned slices,
                        double perf) const;
 
-    /** Drop least-recently-used bundles down to the capacity.
-     *  Caller holds traceMutex_.  No-op in streaming mode (the cache
-     *  never holds bundles there). */
-    void evictTracesLocked();
-
-    /** As above for the generator cache.  Caller holds traceMutex_. */
+    /** Drop least-recently-used generators down to
+     *  kGeneratorCacheCapacity.  Caller holds genMutex_. */
     void evictGeneratorsLocked();
 
-    TraceBundlePtr tracesFor(const BenchmarkProfile &p);
-
-    /** Shared generator for @p p (streaming path), LRU-cached so grid
-     *  sweeps do not rebuild the skeleton per point. */
+    /** Shared generator for @p p, LRU-cached so grid sweeps do not
+     *  rebuild the skeleton per point. */
     std::shared_ptr<const TraceGenerator> generatorFor(
         const BenchmarkProfile &p);
 };

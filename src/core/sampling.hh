@@ -29,7 +29,7 @@
  * Determinism: the fast-forward length is jittered (+/- U/8) from a
  * generator seeded only by the run's seed, so a sampled run is a pure
  * function of (profile, seed, schedule) -- bit-identical across
- * repeat runs, sweep thread counts, and trace modes.  The schedule
+ * repeat runs and sweep thread counts.  The schedule
  * starts with warm-up + measure, so short streams still measure at
  * least one window.
  */

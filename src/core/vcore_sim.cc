@@ -546,7 +546,7 @@ VCoreSim::step(InstSource &src, std::size_t max_instructions)
     // Batched pull: walk the source's contiguous windows so the
     // per-instruction loop pays no virtual dispatch -- refill() runs
     // once per window (every StreamingTraceSource::kBufferInsts
-    // instructions when streaming, once in total when materialized).
+    // instructions).
     std::size_t n = 0;
     while (n < max_instructions) {
         std::size_t avail;

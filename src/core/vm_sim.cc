@@ -107,14 +107,4 @@ VmSim::run(const std::vector<std::unique_ptr<InstSource>> &sources,
     return res;
 }
 
-VmResult
-VmSim::run(const std::vector<Trace> &traces, std::size_t chunk)
-{
-    std::vector<std::unique_ptr<InstSource>> sources;
-    sources.reserve(traces.size());
-    for (const Trace &t : traces)
-        sources.push_back(std::make_unique<MaterializedTraceSource>(t));
-    return run(sources, chunk);
-}
-
 } // namespace sharch

@@ -21,7 +21,6 @@
 #include "core/vcore_sim.hh"
 #include "stats/stats.hh"
 #include "trace/inst_source.hh"
-#include "trace/instruction.hh"
 #include "trace/profile.hh"
 
 namespace sharch {
@@ -61,21 +60,11 @@ class VmSim
      * Run @p sources (one per VCore; lengths may differ) to
      * exhaustion.  VCores advance round-robin in @p chunk-instruction
      * quanta, so bank and directory contention is observed with the
-     * same interleaving regardless of how the sources are backed --
-     * a streamed run and a materialized run of the same workload
-     * execute the identical global instruction order.
+     * same interleaving however the sources window their stream.
      *
      * @param chunk round-robin scheduling quantum in instructions
      */
     VmResult run(const std::vector<std::unique_ptr<InstSource>> &sources,
-                 std::size_t chunk = 2000);
-
-    /**
-     * Compatibility path for callers holding materialized traces:
-     * wraps each trace in a borrowing MaterializedTraceSource and
-     * runs as above.
-     */
-    VmResult run(const std::vector<Trace> &traces,
                  std::size_t chunk = 2000);
 
     L2System &l2() { return *l2_; }

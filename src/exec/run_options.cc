@@ -106,13 +106,6 @@ const SharedSpec kSharedSpecs[] = {
          out->threads = static_cast<unsigned>(v);
          return true;
      }},
-    {"--trace-mode", " (want stream or materialize)",
-     [](const char *val, SharedFlagValues *out) {
-         if (!parseTraceMode(val, out->traceMode))
-             return false;
-         out->traceModeSet = true;
-         return true;
-     }},
     {"--sample", " (want U:W:M instruction counts, measure >= 1)",
      [](const char *val, SharedFlagValues *out) {
          if (!parseSampleSchedule(val, &out->sample))
@@ -148,11 +141,8 @@ handleSharedFlag(int argc, const char *const *argv, int *i,
 std::string
 sharedFlagUsage()
 {
-    return "  --instructions N (trace length), --seed N, --threads N,\n"
-           "  --trace-mode stream|materialize (default stream: fuse "
-           "generation\n"
-           "  into the sim loop; results are bit-identical either "
-           "way), and\n"
+    return "  --instructions N (trace length), --seed N, --threads N, "
+           "and\n"
            "  --sample U:W:M (SMARTS sampling: fast-forward U, warm "
            "up W, measure M\n"
            "  instructions per period; default " +
@@ -169,9 +159,8 @@ runUsage(const std::string &prog)
     return "usage: " + prog +
            " <benchmark> [--config FILE] [--instructions N]\n"
            "            [--slices LIST] [--banks LIST] [--seed N]\n"
-           "            [--threads N] [--trace-mode stream|materialize]\n"
-           "            [--sample U:W:M] [--json] [--trace-out FILE]\n"
-           "            [--metrics]\n"
+           "            [--threads N] [--sample U:W:M] [--json]\n"
+           "            [--trace-out FILE] [--metrics]\n"
            "       " + prog +
            " --inject-faults SPEC [--fabric WxH] [--slices LIST]\n"
            "            [--banks LIST] [--json]\n"
@@ -215,10 +204,8 @@ parseRunOptions(int argc, const char *const *argv)
 {
     RunOptions opts;
     SharedFlagValues shared;
-    int positional = 0;
     for (int i = 1; i < argc && opts.ok(); ++i) {
         const std::string arg = argv[i];
-        std::uint64_t v = 0;
         if (handleSharedFlag(argc, argv, &i, &shared,
                              &opts.error)) {
             continue;
@@ -293,31 +280,12 @@ parseRunOptions(int argc, const char *const *argv)
             }
         } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
             opts.error = "unknown flag '" + arg + "'";
+        } else if (opts.benchmark.empty()) {
+            opts.benchmark = arg;
         } else {
-            // Legacy positional form: benchmark, config, instructions.
-            // Positions past the benchmark still parse but are
-            // deprecated in favor of the named flags.
-            switch (positional++) {
-              case 0:
-                opts.benchmark = arg;
-                break;
-              case 1:
-                opts.configPath = arg;
-                opts.deprecationWarning =
-                    "warning: positional config/instruction "
-                    "arguments are deprecated; use --config FILE "
-                    "and --instructions N";
-                break;
-              case 2:
-                if (!parseU64(arg, &v) || v == 0)
-                    opts.error =
-                        "bad instruction count '" + arg + "'";
-                else
-                    opts.instructions = static_cast<std::size_t>(v);
-                break;
-              default:
-                opts.error = "unexpected argument '" + arg + "'";
-            }
+            opts.error = "unexpected argument '" + arg +
+                         "' (the config file and instruction count "
+                         "are --config FILE and --instructions N)";
         }
     }
     if (shared.instructionsSet)
@@ -328,8 +296,6 @@ parseRunOptions(int argc, const char *const *argv)
     }
     if (shared.threads != 0)
         opts.threads = shared.threads;
-    if (shared.traceModeSet)
-        opts.traceMode = shared.traceMode;
     if (shared.sampleSet) {
         opts.sample = shared.sample;
         opts.sampleSet = true;
@@ -350,9 +316,8 @@ benchUsage(const std::string &prog)
            "       " + prog +
            " --run GLOB [--run GLOB ...] [--format text|csv|json]\n"
            "            [--out DIR] [--instructions N] [--seed N]\n"
-           "            [--threads N] [--trace-mode stream|materialize]\n"
-           "            [--sample U:W:M] [--metrics-out DIR]\n"
-           "            [--trace-out FILE]\n"
+           "            [--threads N] [--sample U:W:M]\n"
+           "            [--metrics-out DIR] [--trace-out FILE]\n"
            "\n"
            "  Runs the registered paper studies (figures, tables,\n"
            "  ablations).  --run takes shell-style globs over study\n"
@@ -363,7 +328,7 @@ benchUsage(const std::string &prog)
            std::string("sharch_perf_cache.csv") + " in the\n"
            "  working directory.  With --out, one <study>.<ext> file\n"
            "  is written per study; JSON/CSV reports are bit-identical\n"
-           "  across --threads values and --trace-mode settings.\n"
+           "  across --threads values.\n"
            "  --metrics-out writes one <study>.metrics.json of telemetry\n"
            "  counters per study; --trace-out writes a Chrome trace-event\n"
            "  timeline for the whole invocation.  Both need a build with\n"
@@ -440,8 +405,6 @@ parseBenchOptions(int argc, const char *const *argv)
     }
     if (shared.threads != 0)
         opts.threads = shared.threads;
-    if (shared.traceModeSet)
-        opts.traceMode = shared.traceMode;
     if (shared.sampleSet) {
         opts.sample = shared.sample;
         opts.sampleSet = true;
@@ -456,8 +419,7 @@ serveUsage(const std::string &prog)
 {
     return "usage: " + prog +
            " [--instructions N] [--seed N] [--threads N]\n"
-           "            [--trace-mode stream|materialize] "
-           "[--sample U:W:M]\n"
+           "            [--sample U:W:M]\n"
            "            [--fabric WxH] [--fleet N] [--restore FILE] "
            "[--journal DIR]\n"
            "            [--journal-fsync N] [--journal-rotate N]\n"
@@ -558,8 +520,6 @@ parseServeOptions(int argc, const char *const *argv)
         opts.seed = shared.seed;
     if (shared.threads != 0)
         opts.threads = shared.threads;
-    if (shared.traceModeSet)
-        opts.traceMode = shared.traceMode;
     if (shared.sampleSet) {
         opts.sample = shared.sample;
         opts.sampleSet = true;

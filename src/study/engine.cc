@@ -40,8 +40,8 @@ runStudy(Study &s, PerfModel &pm, const EngineOptions &opts)
     ctx.report.title = s.description();
     ctx.report.addMeta("instructions", opts.instructions);
     ctx.report.addMeta("seed", opts.seed);
-    // Sampled numbers are estimates: unlike traceMode (bit-identical
-    // either way, never in meta), the schedule is part of the result.
+    // Sampled numbers are estimates: the schedule is part of the
+    // result.
     if (opts.sampleSet)
         ctx.report.addMeta("sample", sampleScheduleName(opts.sample));
     s.run(ctx);

@@ -15,7 +15,8 @@
  * itself is exposed two ways:
  *
  *  - generate()/generateThreads() materialize a bounded prefix into a
- *    Trace vector (multi-pass consumers, trace I/O, tests);
+ *    Trace vector: the reference the streaming tests compare against,
+ *    and the materializing row of the sim_speed study;
  *  - Cursor is an O(1)-state incremental view of the *same* walk:
  *    emit() produces the next n instructions on demand.  Because the
  *    length bound in generate() only ever cuts the walk *between*

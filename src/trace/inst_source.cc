@@ -4,26 +4,6 @@
 
 namespace sharch {
 
-bool
-parseTraceMode(std::string_view text, TraceMode &out)
-{
-    if (text == "stream") {
-        out = TraceMode::Stream;
-        return true;
-    }
-    if (text == "materialize") {
-        out = TraceMode::Materialize;
-        return true;
-    }
-    return false;
-}
-
-const char *
-traceModeName(TraceMode mode)
-{
-    return mode == TraceMode::Stream ? "stream" : "materialize";
-}
-
 StreamingTraceSource::StreamingTraceSource(const TraceGenerator &gen,
                                            std::uint64_t limit,
                                            unsigned thread_id)
@@ -59,31 +39,6 @@ StreamingTraceSource::refill()
     return true;
 }
 
-MaterializedTraceSource::MaterializedTraceSource(const Trace &trace)
-    : trace_(&trace)
-{
-}
-
-MaterializedTraceSource::MaterializedTraceSource(TraceBundlePtr bundle,
-                                                 std::size_t index)
-    : bundle_(std::move(bundle))
-{
-    SHARCH_ASSERT(bundle_ && index < bundle_->size(),
-                  "materialized source index out of range");
-    trace_ = &(*bundle_)[index];
-}
-
-bool
-MaterializedTraceSource::refill()
-{
-    if (served_ || trace_->empty())
-        return false;
-    served_ = true;
-    setWindow(trace_->instructions.data(),
-              trace_->instructions.data() + trace_->instructions.size());
-    return true;
-}
-
 std::vector<std::unique_ptr<InstSource>>
 streamSources(std::shared_ptr<const TraceGenerator> gen,
               std::uint64_t instructions_per_thread)
@@ -96,18 +51,6 @@ streamSources(std::shared_ptr<const TraceGenerator> gen,
     for (unsigned t = 0; t < threads; ++t)
         sources.push_back(std::make_unique<StreamingTraceSource>(
             gen, instructions_per_thread, t));
-    return sources;
-}
-
-std::vector<std::unique_ptr<InstSource>>
-materializedSources(TraceBundlePtr bundle)
-{
-    SHARCH_ASSERT(bundle != nullptr, "materializedSources needs traces");
-    std::vector<std::unique_ptr<InstSource>> sources;
-    sources.reserve(bundle->size());
-    for (std::size_t i = 0; i < bundle->size(); ++i)
-        sources.push_back(
-            std::make_unique<MaterializedTraceSource>(bundle, i));
     return sources;
 }
 

@@ -15,14 +15,13 @@
  * contiguous window() of instructions and consume()s them with zero
  * virtual calls per instruction; the single virtual, refill(), runs
  * once per buffer (every kBufferInsts instructions for the streaming
- * source, exactly once for the materialized one).
+ * source).
  *
  * Determinism contract: for a given (profile, seed, thread id) and
  * instruction budget, StreamingTraceSource emits byte-for-byte the
  * sequence TraceGenerator::generate() materializes (see the Cursor
- * prefix-identity argument in trace/generator.hh), so SimStats and
- * every sharch-report-v1 document are bit-identical across
- * --trace-mode stream and materialize.
+ * prefix-identity argument in trace/generator.hh).  generate() is the
+ * reference the differential tests hold the stream to.
  */
 
 #ifndef SHARCH_TRACE_INST_SOURCE_HH
@@ -31,7 +30,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
@@ -39,31 +37,6 @@
 #include "trace/instruction.hh"
 
 namespace sharch {
-
-/**
- * An immutable, shareable set of generated per-thread traces.  Trace
- * storage is the dominant memory consumer of long multi-benchmark
- * batches (instructions x threads x 32 B per benchmark), so generated
- * bundles are reference-counted: a cache can keep a bounded number of
- * benchmarks hot while in-flight simulations pin the bundle they
- * replay, and evicted benchmarks regenerate deterministically on next
- * use.  Only the materialized path allocates bundles at all.
- */
-using TraceBundle = std::vector<Trace>;
-using TraceBundlePtr = std::shared_ptr<const TraceBundle>;
-
-/** How simulations obtain their instruction stream. */
-enum class TraceMode
-{
-    Stream,      //!< fuse generation into the sim loop (single pass)
-    Materialize, //!< pre-generate full Trace vectors (multi-pass)
-};
-
-/** Parse "stream" / "materialize"; @return false on anything else. */
-bool parseTraceMode(std::string_view text, TraceMode &out);
-
-/** Printable mode name ("stream" / "materialize"). */
-const char *traceModeName(TraceMode mode);
 
 /**
  * A bounded, single-pass instruction stream for one thread.
@@ -251,30 +224,6 @@ class StreamingTraceSource final : public InstSource
 };
 
 /**
- * Serves an already-materialized Trace as a single window.  Used by
- * multi-pass consumers (trace I/O round-trips, calibration summaries,
- * replay-heavy tests) and as the compatibility path for callers that
- * still hold Trace vectors.
- */
-class MaterializedTraceSource final : public InstSource
-{
-  public:
-    /** Borrow @p trace, which must outlive the source. */
-    explicit MaterializedTraceSource(const Trace &trace);
-
-    /** Pin @p bundle and serve its @p index-th thread trace. */
-    MaterializedTraceSource(TraceBundlePtr bundle, std::size_t index);
-
-  protected:
-    bool refill() override;
-
-  private:
-    TraceBundlePtr bundle_; //!< null when borrowing
-    const Trace *trace_;
-    bool served_ = false;
-};
-
-/**
  * One streaming source per thread of @p gen's profile, each bounded
  * to @p instructions_per_thread.  The generator is shared by all
  * sources (the skeleton is immutable; each cursor owns its RNG).
@@ -282,10 +231,6 @@ class MaterializedTraceSource final : public InstSource
 std::vector<std::unique_ptr<InstSource>> streamSources(
     std::shared_ptr<const TraceGenerator> gen,
     std::uint64_t instructions_per_thread);
-
-/** One pinning materialized source per thread trace of @p bundle. */
-std::vector<std::unique_ptr<InstSource>> materializedSources(
-    TraceBundlePtr bundle);
 
 } // namespace sharch
 

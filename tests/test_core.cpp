@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -35,8 +36,8 @@ runOnce(const std::string &bench, unsigned banks, unsigned slices,
     VmSim vm(cfg, vcores);
     if (prewarm)
         vm.prewarm(p);
-    TraceGenerator gen(p, 1);
-    return vm.run(gen.generateThreads(n));
+    return vm.run(
+        streamSources(std::make_shared<const TraceGenerator>(p, 1), n));
 }
 
 } // namespace
@@ -109,8 +110,7 @@ TEST(VCoreSim, StepInterfaceIsIncremental)
     L2System l2(cfg, {placement});
     VCoreSim sim(cfg, 0, placement, l2);
     TraceGenerator gen(profileFor("gcc"), 1);
-    const Trace t = gen.generate(1000);
-    MaterializedTraceSource src(t);
+    StreamingTraceSource src(gen, 1000);
     EXPECT_EQ(sim.step(src, 400), 400u);
     EXPECT_FALSE(sim.done());
     EXPECT_EQ(src.consumed(), 400u);
@@ -251,6 +251,7 @@ TEST(PerfModel, DiskCacheDropsCorruptRowsKeepsGoodOnes)
         // non-finite perf.  Loading must keep every good row and drop
         // every bad one with a single summarized warning.
         std::ofstream out(path);
+        out << PerfModel::diskCacheStamp() << '\n';
         out << "hmmer,4000,1,2,2,123.5\n";
         out << "this is not a cache row\n";
         out << "gcc,4000,1,1\n";             // truncated mid-row
@@ -271,42 +272,6 @@ TEST(PerfModel, DiskCacheDropsCorruptRowsKeepsGoodOnes)
     EXPECT_TRUE(std::isfinite(resim));
     EXPECT_DOUBLE_EQ(resim, reference.performance("mcf", 1, 1));
     std::filesystem::remove(path);
-}
-
-TEST(PerfModel, TraceCacheBoundedAcrossBatches)
-{
-    // A long multi-benchmark batch must not hold every benchmark's
-    // trace streams forever: the LRU bound caps the distinct
-    // workloads resident at once.
-    PerfModel pm(2000);
-    pm.setTraceCacheCapacity(2);
-    const auto grid = exec::sweepGrid(
-        {std::string("gcc"), "hmmer", "sjeng", "mcf", "astar"}, {1},
-        {1u, 2u});
-    const auto results = pm.performanceBatch(grid, 2);
-    ASSERT_EQ(results.size(), grid.size());
-    for (const auto &r : results)
-        EXPECT_GT(r.ipc, 0.0);
-    EXPECT_LE(pm.traceCacheSize(), 2u);
-}
-
-TEST(PerfModel, EvictedTracesRegenerateIdentically)
-{
-    // Eviction must be invisible in the results: a capacity-1 model
-    // (every switch regenerates) matches an unbounded one bit-for-bit.
-    // The bundle cache only exists on the materialized path.
-    PerfModel bounded(2000);
-    bounded.setTraceMode(TraceMode::Materialize);
-    bounded.setTraceCacheCapacity(1);
-    PerfModel roomy(2000);
-    roomy.setTraceMode(TraceMode::Materialize);
-    for (unsigned banks : {1u, 4u}) {
-        for (const char *b : {"gcc", "hmmer", "gcc", "hmmer"}) {
-            EXPECT_DOUBLE_EQ(bounded.performance(b, banks, 2),
-                             roomy.performance(b, banks, 2));
-        }
-    }
-    EXPECT_EQ(bounded.traceCacheSize(), 1u);
 }
 
 TEST(PerfModel, PhaseProfilesWork)

@@ -148,35 +148,28 @@ TEST(SweepRunner, ResultsFollowInputOrderAndDedup)
     EXPECT_EQ(evals.load(), 4);             // evaluated once
 }
 
-TEST(CliParse, LegacyPositionalFormStillWorks)
+TEST(CliParse, LegacyPositionalFormIsRejected)
 {
-    const RunOptions o =
-        parse({"gcc", "tools/configs/big_vcore.xml", "5000"});
-    ASSERT_TRUE(o.ok()) << o.error;
-    EXPECT_EQ(o.benchmark, "gcc");
-    EXPECT_EQ(o.configPath, "tools/configs/big_vcore.xml");
-    EXPECT_EQ(o.instructions, 5000u);
-    EXPECT_FALSE(o.isSweep());
-}
-
-TEST(CliParse, LegacyPositionalFormWarnsDeprecation)
-{
-    // Positional config/instructions still parse but carry a
-    // one-line warning naming the named-flag equivalents.
+    // `ssim <bench> <config.xml> <instructions>` is gone: the second
+    // positional fails with one error naming the flags to use.
     const RunOptions legacy = parse({"gcc", "cfg.xml", "5000"});
-    ASSERT_TRUE(legacy.ok()) << legacy.error;
-    EXPECT_NE(legacy.deprecationWarning.find("deprecated"),
-              std::string::npos);
-    EXPECT_NE(legacy.deprecationWarning.find("--config"),
-              std::string::npos);
-    EXPECT_NE(legacy.deprecationWarning.find("--instructions"),
-              std::string::npos);
+    ASSERT_FALSE(legacy.ok());
+    EXPECT_NE(legacy.error.find("'cfg.xml'"), std::string::npos)
+        << legacy.error;
+    EXPECT_NE(legacy.error.find("--config"), std::string::npos)
+        << legacy.error;
+    EXPECT_NE(legacy.error.find("--instructions"), std::string::npos)
+        << legacy.error;
 
     // The benchmark positional itself is fine, flags are fine.
-    EXPECT_TRUE(parse({"gcc"}).deprecationWarning.empty());
-    EXPECT_TRUE(parse({"gcc", "--config", "cfg.xml",
-                       "--instructions", "5000"})
-                    .deprecationWarning.empty());
+    const RunOptions bare = parse({"gcc"});
+    ASSERT_TRUE(bare.ok()) << bare.error;
+    EXPECT_EQ(bare.benchmark, "gcc");
+    const RunOptions named = parse({"gcc", "--config", "cfg.xml",
+                                    "--instructions", "5000"});
+    ASSERT_TRUE(named.ok()) << named.error;
+    EXPECT_EQ(named.configPath, "cfg.xml");
+    EXPECT_EQ(named.instructions, 5000u);
 }
 
 TEST(CliParse, SharedFlagsErrorIdenticallyAcrossBinaries)
@@ -213,56 +206,6 @@ TEST(CliParse, SharedFlagsErrorIdenticallyAcrossBinaries)
               parseServeOptions(3, serveInstr).error);
     EXPECT_EQ(parseRunOptions(4, runInstr).error,
               "bad --instructions '0'");
-
-    const char *runMode[] = {"ssim", "gcc", "--trace-mode", "eager"};
-    const char *benchMode[] = {"sharch-bench", "fig13", "--trace-mode",
-                               "eager"};
-    const char *serveMode[] = {"sharch-serve", "--trace-mode",
-                               "eager"};
-    EXPECT_EQ(parseRunOptions(4, runMode).error,
-              parseBenchOptions(4, benchMode).error);
-    EXPECT_EQ(parseRunOptions(4, runMode).error,
-              parseServeOptions(3, serveMode).error);
-    EXPECT_EQ(parseRunOptions(4, runMode).error,
-              "bad --trace-mode 'eager' (want stream or materialize)");
-}
-
-TEST(CliParse, TraceModeFlagReachesAllBinaries)
-{
-    // Default is streaming everywhere; --trace-mode switches all
-    // three binaries through the shared spec table.
-    const char *runDefault[] = {"ssim", "gcc"};
-    EXPECT_EQ(parseRunOptions(2, runDefault).traceMode,
-              TraceMode::Stream);
-    const char *serveDefault[] = {"sharch-serve"};
-    EXPECT_EQ(parseServeOptions(1, serveDefault).traceMode,
-              TraceMode::Stream);
-    const char *benchDefault[] = {"sharch-bench", "fig13"};
-    EXPECT_EQ(parseBenchOptions(2, benchDefault).traceMode,
-              TraceMode::Stream);
-
-    const char *runMat[] = {"ssim", "gcc", "--trace-mode",
-                            "materialize"};
-    const RunOptions r = parseRunOptions(4, runMat);
-    ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_EQ(r.traceMode, TraceMode::Materialize);
-
-    const char *benchMat[] = {"sharch-bench", "fig13", "--trace-mode",
-                              "materialize"};
-    const BenchOptions b = parseBenchOptions(4, benchMat);
-    ASSERT_TRUE(b.ok()) << b.error;
-    EXPECT_EQ(b.traceMode, TraceMode::Materialize);
-
-    const char *serveMat[] = {"sharch-serve", "--trace-mode",
-                              "materialize"};
-    const ServeOptions s = parseServeOptions(3, serveMat);
-    ASSERT_TRUE(s.ok()) << s.error;
-    EXPECT_EQ(s.traceMode, TraceMode::Materialize);
-
-    const char *runStream[] = {"ssim", "gcc", "--trace-mode",
-                               "stream"};
-    EXPECT_EQ(parseRunOptions(4, runStream).traceMode,
-              TraceMode::Stream);
 }
 
 TEST(CliParse, SampleFlagErrorsIdenticallyAcrossBinaries)
@@ -674,6 +617,7 @@ TEST(DiskCache, CorruptRowsAreRejected)
     std::filesystem::remove(path);
     {
         std::ofstream out(path);
+        out << PerfModel::diskCacheStamp() << '\n';
         // Matching (instructions=2000, seed=1) rows with sentinel
         // values a simulation would never produce, plus corruption.
         out << "gcc,2000,1,2,4,123.5\n";        // good
@@ -706,6 +650,7 @@ TEST(DiskCache, OtherConfigRowsAreSkippedSilently)
     std::filesystem::remove(path);
     {
         std::ofstream out(path);
+        out << PerfModel::diskCacheStamp() << '\n';
         out << "gcc,9999,1,2,4,123.5\n"; // other instruction count
         out << "gcc,2000,7,2,4,123.5\n"; // other seed
     }
@@ -714,6 +659,37 @@ TEST(DiskCache, OtherConfigRowsAreSkippedSilently)
     // Neither row matches this model's identity; both must be
     // ignored (they are legitimate rows for other studies).
     EXPECT_NE(pm.performance("gcc", 2, 4), 123.5);
+    std::filesystem::remove(path);
+}
+
+TEST(DiskCache, UnstampedOrStaleFileIsStartedAfresh)
+{
+    // A cache row carries no record of the timing model that produced
+    // it; the file's stamp does.  A file without this model's stamp
+    // (written before stamps existed, or by another model) must not
+    // serve its planted row -- the point re-simulates -- and the file
+    // is rewritten to hold only this model's results.
+    const std::string path = "test_exec_stale_cache.csv";
+    PerfModel reference(2000, 1);
+    const double simulated = reference.performance("gcc", 8, 2);
+    ASSERT_NE(simulated, 9.25);
+    for (const char *header :
+         {"", "# sharch-perf-cache model=0.5\n"}) {
+        std::filesystem::remove(path);
+        {
+            std::ofstream out(path);
+            out << header << "gcc,2000,1,8,2,9.25\n";
+        }
+        PerfModel pm(2000, 1);
+        pm.enableDiskCache(path);
+        EXPECT_EQ(pm.performance("gcc", 8, 2), simulated)
+            << "header '" << header << "'";
+        const std::string after = slurp(path);
+        EXPECT_EQ(after.rfind(PerfModel::diskCacheStamp() + "\n", 0),
+                  0u)
+            << after;
+        EXPECT_EQ(after.find("9.25"), std::string::npos) << after;
+    }
     std::filesystem::remove(path);
 }
 

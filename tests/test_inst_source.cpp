@@ -10,12 +10,11 @@
  *     materializes -- field by field (TraceInst has padding bytes, so
  *     memcmp would compare garbage).
  *  2. Bit-identical simulation: VmSim and PerfModel produce identical
- *     SimStats (via toJson) whether the instruction stream is
- *     streamed or materialized, for single- and multithreaded
- *     workloads.
+ *     SimStats (via toJson) on the stream and on the generate()d
+ *     reference trace served in odd-sized windows, for single- and
+ *     multithreaded workloads.
  *  3. Memory regression: streaming storage stays O(kBufferInsts)
- *     regardless of the instruction budget, and the PerfModel bundle
- *     cache stays empty in streaming mode.
+ *     regardless of the instruction budget.
  */
 
 #include <algorithm>
@@ -30,6 +29,7 @@
 #include "config/sim_config.hh"
 #include "core/perf_model.hh"
 #include "core/vm_sim.hh"
+#include "exec/sweep.hh"
 #include "trace/generator.hh"
 #include "trace/inst_source.hh"
 #include "trace/profile.hh"
@@ -148,27 +148,58 @@ TEST(StreamingDifferential, SkipPreservesAlignment)
     EXPECT_EQ(src.skip(10), 0u) << "skip past end reports 0";
 }
 
-TEST(MaterializedSource, ServesWholeTraceOnceAndPinsBundle)
+/**
+ * Serves a materialized Trace in windows of at most @p window
+ * instructions: the reference backing the stream is compared against.
+ * Odd window sizes put refill seams where the streaming source never
+ * has them, so a simulator that depended on window boundaries would
+ * diverge.
+ */
+class WindowedTraceSource final : public InstSource
 {
-    const BenchmarkProfile &p = profileFor("bzip");
-    TraceGenerator gen(p, 5);
-    auto bundle = std::make_shared<const TraceBundle>(
-        gen.generateThreads(1000));
-    const long pinned = bundle.use_count();
-    auto sources = materializedSources(bundle);
-    ASSERT_EQ(sources.size(), 1u);
-    EXPECT_GT(bundle.use_count(), pinned) << "source must pin bundle";
-    const std::vector<TraceInst> served = drain(std::move(sources[0]));
-    ASSERT_EQ(served.size(), (*bundle)[0].instructions.size());
-    for (std::size_t i = 0; i < served.size(); ++i)
-        expectInstEq(served[i], (*bundle)[0].instructions[i], i,
-                     "materialized");
+  public:
+    WindowedTraceSource(const Trace &trace, std::size_t window)
+        : trace_(trace), window_(window)
+    {
+    }
+
+  protected:
+    bool
+    refill() override
+    {
+        const std::size_t size = trace_.instructions.size();
+        if (next_ >= size)
+            return false;
+        const std::size_t n = std::min(window_, size - next_);
+        const TraceInst *begin = trace_.instructions.data() + next_;
+        setWindow(begin, begin + n);
+        next_ += n;
+        return true;
+    }
+
+  private:
+    const Trace &trace_;
+    std::size_t window_;
+    std::size_t next_ = 0;
+};
+
+/** One windowed source per trace of @p traces. */
+std::vector<std::unique_ptr<InstSource>>
+windowedSources(const std::vector<Trace> &traces, std::size_t window)
+{
+    std::vector<std::unique_ptr<InstSource>> sources;
+    for (const Trace &t : traces)
+        sources.push_back(
+            std::make_unique<WindowedTraceSource>(t, window));
+    return sources;
 }
 
-/** The two modes' VmResults, same workload and config. */
+/** The streamed VmResult against the generate()d reference served in
+ *  windows of 1, 7 and the whole trace, same workload and config. */
 void
-expectModesBitIdentical(const BenchmarkProfile &p, std::uint64_t seed,
-                        std::size_t instructions)
+expectStreamMatchesReference(const BenchmarkProfile &p,
+                             std::uint64_t seed,
+                             std::size_t instructions)
 {
     SimConfig cfg;
     cfg.numSlices = 2;
@@ -182,58 +213,75 @@ expectModesBitIdentical(const BenchmarkProfile &p, std::uint64_t seed,
     const VmResult streamed =
         streamVm.run(streamSources(gen, instructions));
 
-    VmSim matVm(cfg, vcores);
-    matVm.prewarm(p);
-    const VmResult materialized =
-        matVm.run(gen->generateThreads(instructions));
+    const std::vector<Trace> traces = gen->generateThreads(instructions);
+    for (const std::size_t window : {std::size_t(1), std::size_t(7),
+                                     instructions}) {
+        VmSim refVm(cfg, vcores);
+        refVm.prewarm(p);
+        const VmResult reference =
+            refVm.run(windowedSources(traces, window));
+        const std::string what =
+            p.name + " window " + std::to_string(window);
 
-    EXPECT_EQ(streamed.cycles, materialized.cycles) << p.name;
-    ASSERT_EQ(streamed.perVCore.size(), materialized.perVCore.size());
-    EXPECT_EQ(streamed.aggregate.toJson(),
-              materialized.aggregate.toJson())
-        << p.name << ": aggregate SimStats diverge across modes";
-    for (std::size_t i = 0; i < streamed.perVCore.size(); ++i) {
-        EXPECT_EQ(streamed.perVCore[i].toJson(),
-                  materialized.perVCore[i].toJson())
-            << p.name << " VCore " << i;
+        EXPECT_EQ(streamed.cycles, reference.cycles) << what;
+        ASSERT_EQ(streamed.perVCore.size(), reference.perVCore.size());
+        EXPECT_EQ(streamed.aggregate.toJson(),
+                  reference.aggregate.toJson())
+            << what << ": aggregate SimStats diverge from the stream";
+        for (std::size_t i = 0; i < streamed.perVCore.size(); ++i) {
+            EXPECT_EQ(streamed.perVCore[i].toJson(),
+                      reference.perVCore[i].toJson())
+                << what << " VCore " << i;
+        }
     }
 }
 
 TEST(ModeEquivalence, SingleThreadedVmBitIdentical)
 {
-    expectModesBitIdentical(profileFor("gcc"), 1, 8000);
-    expectModesBitIdentical(profileFor("libquantum"), 11, 8000);
+    expectStreamMatchesReference(profileFor("gcc"), 1, 8000);
+    expectStreamMatchesReference(profileFor("libquantum"), 11, 8000);
 }
 
 TEST(ModeEquivalence, MultithreadedVmBitIdentical)
 {
     // Shared-L2 contention depends on the global instruction order;
-    // the round-robin interleaving must not depend on the backing.
-    expectModesBitIdentical(profileFor("dedup"), 1, 4000);
-    expectModesBitIdentical(profileFor("swaptions"), 17, 4000);
+    // the round-robin interleaving must not depend on the windowing.
+    expectStreamMatchesReference(profileFor("dedup"), 1, 4000);
+    expectStreamMatchesReference(profileFor("swaptions"), 17, 4000);
 }
 
 TEST(ModeEquivalence, PerfModelSurfacesMatch)
 {
-    PerfModel streaming(3000, 7);
-    streaming.setTraceMode(TraceMode::Stream);
-    PerfModel materializing(3000, 7);
-    materializing.setTraceMode(TraceMode::Materialize);
+    // PerfModel's surface equals a hand-built run over the reference
+    // traces: same per-point seed, prewarm and per-VCore division.
+    constexpr std::size_t kInstructions = 3000;
+    constexpr std::uint64_t kSeed = 7;
+    PerfModel pm(kInstructions, kSeed);
 
     for (const char *name : {"gcc", "mcf", "ferret"}) {
+        const BenchmarkProfile &p = profileFor(name);
+        const unsigned vcores = p.multithreaded ? p.numThreads : 1;
+        const std::vector<Trace> traces =
+            TraceGenerator(p, kSeed).generateThreads(kInstructions);
         for (unsigned banks : {0u, 4u}) {
             for (unsigned slices : {1u, 4u}) {
-                EXPECT_EQ(streaming.performance(name, banks, slices),
-                          materializing.performance(name, banks,
-                                                    slices))
+                SimConfig cfg;
+                cfg.numSlices = slices;
+                cfg.numL2Banks = banks;
+                cfg.seed =
+                    exec::deriveJobSeed(kSeed, name, banks, slices);
+                VmSim vm(cfg, vcores);
+                vm.prewarm(p);
+                const double reference =
+                    vm.run(windowedSources(traces, 7)).throughput() /
+                    vcores;
+                EXPECT_EQ(pm.performance(name, banks, slices),
+                          reference)
                     << name << " banks=" << banks
                     << " slices=" << slices;
             }
         }
     }
-    EXPECT_EQ(streaming.traceCacheSize(), 0u)
-        << "streaming mode must not materialize bundles";
-    EXPECT_GT(materializing.traceCacheSize(), 0u);
 }
 
 TEST(StreamingMemory, BufferStaysBoundedOverLongRun)
@@ -270,46 +318,6 @@ TEST(StreamingMemory, SmallLimitAllocatesSmallBuffer)
     StreamingTraceSource src(gen, 64);
     EXPECT_LE(src.bufferCapacity(), 64u)
         << "a 64-instruction stream must not allocate a full buffer";
-}
-
-TEST(StreamingMemory, CacheCapacityIsNoOpInStreamMode)
-{
-    // setTraceCacheCapacity() is a materialized-path policy; in
-    // streaming mode it records the bound and no-ops.  Running many
-    // benchmarks through a capacity-1 streaming model must still
-    // leave the bundle cache empty -- nothing was ever materialized,
-    // so nothing is evicted or retained.
-    PerfModel pm(1500, 1);
-    pm.setTraceMode(TraceMode::Stream);
-    pm.setTraceCacheCapacity(1);
-    for (const char *name : {"gcc", "mcf", "hmmer", "sjeng"})
-        pm.performance(name, 4, 2);
-    EXPECT_EQ(pm.traceCacheSize(), 0u);
-
-    // The same bound governs the materialized path when switched on.
-    PerfModel mat(1500, 1);
-    mat.setTraceMode(TraceMode::Materialize);
-    mat.setTraceCacheCapacity(1);
-    for (const char *name : {"gcc", "mcf", "hmmer", "sjeng"})
-        mat.performance(name, 4, 2);
-    EXPECT_EQ(mat.traceCacheSize(), 1u);
-}
-
-TEST(TraceModeParse, NamesRoundTrip)
-{
-    TraceMode mode = TraceMode::Materialize;
-    EXPECT_TRUE(parseTraceMode("stream", mode));
-    EXPECT_EQ(mode, TraceMode::Stream);
-    EXPECT_TRUE(parseTraceMode("materialize", mode));
-    EXPECT_EQ(mode, TraceMode::Materialize);
-    EXPECT_STREQ(traceModeName(TraceMode::Stream), "stream");
-    EXPECT_STREQ(traceModeName(TraceMode::Materialize), "materialize");
-
-    mode = TraceMode::Stream;
-    EXPECT_FALSE(parseTraceMode("", mode));
-    EXPECT_FALSE(parseTraceMode("streaming", mode));
-    EXPECT_FALSE(parseTraceMode("Materialize", mode));
-    EXPECT_EQ(mode, TraceMode::Stream) << "failed parse must not write";
 }
 
 } // namespace

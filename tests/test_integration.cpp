@@ -149,17 +149,16 @@ TEST(Integration, SecondOperandNetworkBarelyMatters)
     SimConfig cfg;
     cfg.numSlices = 4;
     cfg.numL2Banks = 4;
-    TraceGenerator gen(p, 1);
-    const auto traces = gen.generateThreads(6000);
+    const auto gen = std::make_shared<const TraceGenerator>(p, 1);
 
     VmSim one(cfg, 1);
     one.prewarm(p);
-    const Cycles c1 = one.run(traces).cycles;
+    const Cycles c1 = one.run(streamSources(gen, 6000)).cycles;
 
     cfg.network.operandNetworks = 2;
     VmSim two(cfg, 1);
     two.prewarm(p);
-    const Cycles c2 = two.run(traces).cycles;
+    const Cycles c2 = two.run(streamSources(gen, 6000)).cycles;
 
     EXPECT_LE(c2, c1);
     EXPECT_LT(static_cast<double>(c1 - c2) / c1, 0.05);

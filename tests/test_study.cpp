@@ -171,9 +171,15 @@ TEST(StudyEngine, JsonBitIdenticalAcrossThreadCounts)
     EXPECT_EQ(renderCsv(r1), renderCsv(r4));
 }
 
-TEST(StudyEngine, GoldenTab1Report)
+/**
+ * Render study @p name at 2000 instructions, seed 1, one worker, on a
+ * fresh model with no disk cache, and diff it byte-for-byte against
+ * tests/golden/<name>.json.
+ */
+void
+expectGoldenReport(const std::string &name)
 {
-    Study *s = StudyRegistry::instance().find("tab1");
+    Study *s = StudyRegistry::instance().find(name);
     ASSERT_NE(s, nullptr);
 
     EngineOptions o;
@@ -183,15 +189,28 @@ TEST(StudyEngine, GoldenTab1Report)
     PerfModel pm(o.instructions, o.seed);
     const Report r = runStudy(*s, pm, o);
 
-    std::ifstream in(std::string(SHARCH_TEST_DATA_DIR) +
-                     "/tab1.json");
-    ASSERT_TRUE(in) << "golden tab1.json missing";
+    std::ifstream in(std::string(SHARCH_TEST_DATA_DIR) + "/" + name +
+                     ".json");
+    ASSERT_TRUE(in) << "golden " << name << ".json missing";
     std::ostringstream golden;
     golden << in.rdbuf();
     EXPECT_EQ(renderJson(r), golden.str())
-        << "tab1 drifted from the committed golden report; if the "
+        << name << " drifted from the committed golden report; if the "
            "change is intentional, regenerate with: sharch-bench "
-           "--run tab1 --instructions 2000 --seed 1 --format json";
+           "--run " << name << " --instructions 2000 --seed 1 "
+           "--format json";
+}
+
+TEST(StudyEngine, GoldenTab1Report)
+{
+    expectGoldenReport("tab1");
+}
+
+TEST(StudyEngine, GoldenFig13Report)
+{
+    // The full 15-benchmark x 9-L2-size surface at two Slices: the
+    // end-to-end anchor of the streaming simulator's determinism.
+    expectGoldenReport("fig13");
 }
 
 TEST(Surface, EnvCountsValidateInsteadOfSilentZero)
